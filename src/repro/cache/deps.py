@@ -7,7 +7,7 @@ intermediate sources, and a view loader fans out across one mapping per
 target.  So dependencies are discovered *at load time* instead: the
 read-through cache opens a capture frame around the loader, and the few
 chokepoints that read mapping data off the database
-(:meth:`repro.gam.repository.GamRepository.fetch_mapping_associations`,
+(:meth:`repro.gam.repository.GamRepository.fetch_mapping_rows`,
 :func:`repro.operators.sql_engine.resolve_hop_rel`,
 :func:`repro.derived.subsumed.load_taxonomy`, the view engines) call
 :func:`record_dependency` with the source names they touched.

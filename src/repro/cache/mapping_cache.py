@@ -45,6 +45,9 @@ from repro.cache.lru import GenerationalLru
 from repro.gam.database import GamDatabase
 from repro.obs import MetricsRegistry, get_registry
 from repro.obs.events import incr_event
+from repro.operators.mapping import Mapping
+from repro.operators.views import AnnotationView
+from repro.taxonomy.dag import Taxonomy
 
 #: Default maximum number of cached values.
 DEFAULT_MAX_ENTRIES = 256
@@ -59,8 +62,9 @@ CACHE_ENV_VAR = "REPRO_CACHE"
 #: Environment override for the entry bound (``REPRO_CACHE_SIZE=512``).
 CACHE_SIZE_ENV_VAR = "REPRO_CACHE_SIZE"
 
-#: Rough per-association footprint: one Association object (three slots),
-#: two accession strings, dict/tuple overhead amortized.
+#: Rough per-association footprint of a ``Mapping`` row: one
+#: ``(source_acc, target_acc, evidence)`` tuple, its two accession strings
+#: and float, and the memoized pair set and grouping amortized.
 _ASSOCIATION_BYTES = 160
 
 #: Rough per-view-cell footprint.
@@ -94,14 +98,12 @@ def estimate_size(value: object) -> int:
 
     Only steers LRU eviction; a constant-per-row model is plenty.
     """
-    associations = getattr(value, "associations", None)
-    if associations is not None:  # Mapping
-        return 96 + _ASSOCIATION_BYTES * len(associations)
-    rows = getattr(value, "rows", None)
-    if rows is not None:  # AnnotationView
-        width = len(getattr(value, "columns", ())) or 1
-        return 96 + _CELL_BYTES * width * len(rows)
-    if hasattr(value, "subsumed_pairs"):  # Taxonomy
+    if isinstance(value, Mapping):
+        return 96 + _ASSOCIATION_BYTES * len(value)
+    if isinstance(value, AnnotationView):
+        width = len(value.columns) or 1
+        return 96 + _CELL_BYTES * width * len(value.rows)
+    if isinstance(value, Taxonomy):
         return 96 + _EDGE_BYTES * len(value)
     return 256
 

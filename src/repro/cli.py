@@ -24,6 +24,7 @@ inspects a running server's slow-query ring buffer.  ``--cache-size N``
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import tempfile
@@ -511,14 +512,7 @@ def _cmd_map(genmapper: GenMapper, args: argparse.Namespace) -> int:
     mapping = genmapper.map(args.source, args.target, via=args.via)
     print(f"# {mapping.describe()}", file=sys.stderr)
     if args.limit:
-        from repro.operators.mapping import Mapping
-
-        mapping = Mapping(
-            mapping.source,
-            mapping.target,
-            mapping.associations[: args.limit],
-            mapping.rel_type,
-        )
+        mapping = dataclasses.replace(mapping, rows=mapping.rows[: args.limit])
     print(render_mapping(mapping, args.format), end="")
     return 0
 

@@ -81,13 +81,7 @@ def derive_subsumed(
     mapping = subsumed_mapping(repository, src)
     with repository.db.transaction():
         rel = repository.ensure_source_rel(src, src, RelType.SUBSUMED)
-        inserted = repository.add_associations(
-            rel,
-            [
-                (assoc.source_accession, assoc.target_accession, assoc.evidence)
-                for assoc in mapping
-            ],
-        )
+        inserted = repository.add_associations(rel, mapping.rows)
     return rel, inserted
 
 
@@ -153,13 +147,12 @@ def rollup_mapping(
     Terms not present in the taxonomy keep only their direct association.
     """
     pairs: list[tuple[str, str, float]] = []
-    for assoc in annotation:
-        term = assoc.target_accession
+    for obj, term, evidence in annotation.rows:
         if include_direct:
-            pairs.append((assoc.source_accession, term, assoc.evidence))
+            pairs.append((obj, term, evidence))
         if term in taxonomy:
             for ancestor in taxonomy.ancestors(term):
-                pairs.append((assoc.source_accession, ancestor, assoc.evidence))
+                pairs.append((obj, ancestor, evidence))
     return Mapping.build(
         annotation.source, annotation.target, pairs, rel_type=RelType.SUBSUMED
     )

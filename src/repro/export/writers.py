@@ -72,11 +72,8 @@ def render_mapping(mapping: Mapping, fmt: str = "tsv") -> str:
     fmt = fmt.lower()
     if fmt == "tsv":
         lines = [f"{mapping.source}\t{mapping.target}\tevidence"]
-        for assoc in mapping:
-            lines.append(
-                f"{assoc.source_accession}\t{assoc.target_accession}"
-                f"\t{assoc.evidence:g}"
-            )
+        for acc1, acc2, evidence in mapping.rows:
+            lines.append(f"{acc1}\t{acc2}\t{evidence:g}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps(
@@ -85,12 +82,8 @@ def render_mapping(mapping: Mapping, fmt: str = "tsv") -> str:
                 "target": mapping.target,
                 "rel_type": mapping.rel_type.value if mapping.rel_type else None,
                 "associations": [
-                    {
-                        "source": assoc.source_accession,
-                        "target": assoc.target_accession,
-                        "evidence": assoc.evidence,
-                    }
-                    for assoc in mapping
+                    {"source": acc1, "target": acc2, "evidence": evidence}
+                    for acc1, acc2, evidence in mapping.rows
                 ],
             },
             indent=2,

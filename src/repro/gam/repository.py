@@ -704,13 +704,18 @@ class GamRepository:
 
     # -- mapping retrieval for operators ----------------------------------
 
-    def fetch_mapping_associations(
+    def fetch_mapping_rows(
         self, source: "int | str | Source", target: "int | str | Source"
-    ) -> tuple[SourceRel, list[Association]]:
-        """Find a stored mapping between two sources and load it.
+    ) -> tuple[SourceRel, list[tuple[str, str, float]]]:
+        """Find a stored mapping between two sources and load it as rows.
 
-        Associations are oriented source→target even when the relationship
-        row is stored in the opposite direction.  Raises
+        Returns the relationship and plain ``(source_acc, target_acc,
+        evidence)`` tuples oriented source→target even when the
+        relationship row is stored in the opposite direction: the query
+        selects the accession columns in the requested orientation, so
+        nothing is reversed in Python.  Rows are ordered by the stored
+        orientation's ``(accession1, accession2)`` either way.  Imported
+        mappings are preferred over derived ones.  Raises
         :class:`UnknownMappingError` when no mapping exists.
         """
         src = self.get_source(source)
@@ -721,10 +726,20 @@ class GamRepository:
         rels = self.mappings_between(src, tgt)
         if not rels:
             raise UnknownMappingError(src.name, tgt.name)
-        # Prefer imported annotation mappings over derived ones.
         rels.sort(key=lambda r: (r.type.is_derived, r.src_rel_id))
         rel = rels[0]
-        associations = self.associations_of(rel)
-        if rel.source1_id != src.source_id:
-            associations = [assoc.reversed() for assoc in associations]
-        return rel, associations
+        forward = rel.source1_id == src.source_id
+        first, second = ("o1", "o2") if forward else ("o2", "o1")
+        cursor = self.db.execute(
+            f"SELECT {first}.accession, {second}.accession, r.evidence"
+            " FROM object_rel r"
+            " JOIN object o1 ON o1.object_id = r.object1_id"
+            " JOIN object o2 ON o2.object_id = r.object2_id"
+            " WHERE r.src_rel_id = ?"
+            " ORDER BY o1.accession, o2.accession",
+            (rel.src_rel_id,),
+        )
+        # Plain tuples, not sqlite3.Row: the rows go straight into a
+        # Mapping (see repro.operators.mapping on why they must be exact).
+        cursor.row_factory = None
+        return rel, cursor.fetchall()

@@ -64,16 +64,16 @@ def compose_pair(
             f" {second.source}↔{second.target}: intermediate sources differ"
         )
     check_deadline()
-    by_intermediate: dict[str, list] = defaultdict(list)
-    for assoc in second:
-        by_intermediate[assoc.source_accession].append(assoc)
+    by_intermediate: dict[str, list[tuple[str, str, float]]] = defaultdict(list)
+    for row in second.rows:
+        by_intermediate[row[0]].append(row)
     best: dict[tuple[str, str], float] = {}
-    for index, left in enumerate(first):
+    for index, (acc1, acc2, left_evidence) in enumerate(first.rows):
         if index % _DEADLINE_STRIDE == 0:
             check_deadline()
-        for right in by_intermediate.get(left.target_accession, ()):
-            key = (left.source_accession, right.target_accession)
-            evidence = combiner(left.evidence, right.evidence)
+        for __, acc3, right_evidence in by_intermediate.get(acc2, ()):
+            key = (acc1, acc3)
+            evidence = combiner(left_evidence, right_evidence)
             if key not in best or evidence > best[key]:
                 best[key] = evidence
     return Mapping.build(
@@ -178,7 +178,4 @@ def materialization_rows(mapping: Mapping) -> list[tuple[str, str, float]]:
     Used when a composed mapping of general interest is materialized in the
     central database (paper Section 1, derived relationships).
     """
-    return [
-        (assoc.source_accession, assoc.target_accession, assoc.evidence)
-        for assoc in mapping
-    ]
+    return list(mapping.rows)

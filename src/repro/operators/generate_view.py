@@ -148,12 +148,17 @@ def _sub_mapping(
 
 
 def _partners(mapping: Mapping) -> dict[str, list[str | None]]:
+    """Each source object's distinct partners, sorted."""
     grouped: dict[str, list[str | None]] = defaultdict(list)
-    for assoc in mapping:
-        if assoc.target_accession not in grouped[assoc.source_accession]:
-            grouped[assoc.source_accession].append(assoc.target_accession)
+    for acc1, acc2, __ in mapping.rows:
+        grouped[acc1].append(acc2)
     for partners in grouped.values():
-        partners.sort(key=lambda value: (value is None, value or ""))
+        if len(partners) > 1:
+            # Dedup through one short-lived set, O(k) per object, and
+            # keep the list: a set per object would raise the peak
+            # memory of a whole-source view.
+            partners[:] = set(partners)
+            partners.sort()
     return dict(grouped)
 
 

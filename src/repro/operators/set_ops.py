@@ -25,10 +25,10 @@ def union(left: Mapping, right: Mapping) -> Mapping:
     _require_same_endpoints(left, right)
     best: dict[tuple[str, str], float] = {}
     for mapping in (left, right):
-        for assoc in mapping:
-            key = (assoc.source_accession, assoc.target_accession)
-            if key not in best or assoc.evidence > best[key]:
-                best[key] = assoc.evidence
+        for acc1, acc2, evidence in mapping.rows:
+            key = (acc1, acc2)
+            if key not in best or evidence > best[key]:
+                best[key] = evidence
     return Mapping.build(
         left.source,
         left.target,
@@ -44,15 +44,12 @@ def intersection(left: Mapping, right: Mapping) -> Mapping:
     independent mappings is more trustworthy than either alone.
     """
     _require_same_endpoints(left, right)
-    right_evidence = {
-        (assoc.source_accession, assoc.target_accession): assoc.evidence
-        for assoc in right
-    }
+    right_evidence = {(acc1, acc2): evidence for acc1, acc2, evidence in right.rows}
     pairs = []
-    for assoc in left:
-        key = (assoc.source_accession, assoc.target_accession)
+    for acc1, acc2, evidence in left.rows:
+        key = (acc1, acc2)
         if key in right_evidence:
-            pairs.append((key[0], key[1], min(assoc.evidence, right_evidence[key])))
+            pairs.append((acc1, acc2, min(evidence, right_evidence[key])))
     return Mapping.build(
         left.source, left.target, pairs, rel_type=_combined_type(left, right)
     )
@@ -62,11 +59,7 @@ def difference(left: Mapping, right: Mapping) -> Mapping:
     """Associations of ``left`` that are not in ``right`` (NOT)."""
     _require_same_endpoints(left, right)
     exclude = right.pair_set()
-    pairs = [
-        (assoc.source_accession, assoc.target_accession, assoc.evidence)
-        for assoc in left
-        if (assoc.source_accession, assoc.target_accession) not in exclude
-    ]
+    pairs = [row for row in left.rows if (row[0], row[1]) not in exclude]
     return Mapping.build(left.source, left.target, pairs, rel_type=left.rel_type)
 
 

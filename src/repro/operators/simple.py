@@ -38,13 +38,8 @@ def map_(
     """
     src = repository.get_source(source)
     tgt = repository.get_source(target)
-    rel, associations = repository.fetch_mapping_associations(src, tgt)
-    return Mapping(
-        source=src.name,
-        target=tgt.name,
-        associations=tuple(associations),
-        rel_type=rel.type,
-    )
+    rel, rows = repository.fetch_mapping_rows(src, tgt)
+    return Mapping(src.name, tgt.name, tuple(rows), rel.type)
 
 
 def domain(mapping: Mapping) -> set[str]:

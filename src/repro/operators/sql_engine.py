@@ -43,7 +43,7 @@ def resolve_hop_rel(
     """The stored mapping of one path hop and whether it is forward-stored.
 
     Prefers imported annotation mappings over derived ones, matching
-    :meth:`GamRepository.fetch_mapping_associations`.
+    :meth:`GamRepository.fetch_mapping_rows`.
     """
     # Scoped cache invalidation: the compiled plan (and anything cached
     # from it) depends on both hop endpoints.
@@ -178,17 +178,17 @@ def compose_sql(
             + f"\n  JOIN object to_ ON to_.object_id = {plan.end_expr}"
             + "\n  WHERE r1.src_rel_id = ?"
             + "\n  GROUP BY so.accession, to_.accession"
+            + "\n  ORDER BY so.accession, to_.accession"
         )
-        rows = repository.db.execute_read(
+        cursor = repository.db.execute_read(
             sql, (*plan.join_parameters, plan.first_rel.src_rel_id)
-        ).fetchall()
-        rel_type = plan.first_rel.type if len(steps) == 2 else RelType.COMPOSED
-        mapping = Mapping.build(
-            source.name,
-            target.name,
-            ((row["src"], row["tgt"], row["evidence"]) for row in rows),
-            rel_type=rel_type,
         )
+        rel_type = plan.first_rel.type if len(steps) == 2 else RelType.COMPOSED
+        # GROUP BY leaves one row per pair and ORDER BY the order
+        # Mapping.build would sort into, so the plain tuple rows are the
+        # mapping's rows as they come.
+        cursor.row_factory = None
+        mapping = Mapping(source.name, target.name, tuple(cursor.fetchall()), rel_type)
         span.tag(associations=len(mapping))
     return mapping
 

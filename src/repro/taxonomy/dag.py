@@ -48,10 +48,7 @@ class Taxonomy:
     def from_mapping(cls, mapping: "object") -> "Taxonomy":
         """Build from an Is-a :class:`~repro.operators.mapping.Mapping`
         whose associations are oriented child → parent."""
-        pairs = [
-            (assoc.source_accession, assoc.target_accession) for assoc in mapping
-        ]
-        return cls(pairs)
+        return cls((acc1, acc2) for acc1, acc2, __ in mapping.rows)
 
     def _topological_order(self) -> list[str]:
         """Terms ordered parents-before-children; raises on cycles."""

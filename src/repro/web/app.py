@@ -751,10 +751,7 @@ def _route_get(
             "association_count": len(mapping),
             "associations": None,
         }
-        rows = (
-            [a.source_accession, a.target_accession, a.evidence]
-            for a in mapping
-        )
+        rows = (list(row) for row in mapping.rows)
         return 200, StreamJson(
             payload, "associations", rows, row_count_hint=len(mapping)
         )

@@ -23,6 +23,9 @@ from repro.cache import (
 )
 from repro.core.genmapper import GenMapper
 from repro.obs import MetricsRegistry
+from repro.operators.mapping import Mapping
+from repro.operators.views import AnnotationView
+from repro.taxonomy.dag import Taxonomy
 from tests.conftest import GO_MINI_OBO, LOCUS_353_RECORD, UNIGENE_MINI
 
 
@@ -162,6 +165,27 @@ class TestKeysAndEstimates:
         assert estimate_size(taxonomy) > 96
         assert estimate_size(view) > 96
         assert estimate_size(object()) == 256
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    def test_estimate_size_pins_mapping_and_view(self, n):
+        # Mapping and AnnotationView both carry ``rows``; the estimate
+        # must dispatch on the type, not on attribute names.
+        mapping = Mapping.build("S", "T", [(f"s{i}", f"t{i}") for i in range(n)])
+        assert estimate_size(mapping) == 96 + 160 * n
+        view = AnnotationView(("S", "T", "U"), (("s", "t", "u"),) * n)
+        assert estimate_size(view) == 96 + 64 * 3 * n
+        taxonomy = Taxonomy((f"t{i + 1}", f"t{i}") for i in range(n))
+        assert estimate_size(taxonomy) == 96 + 200 * len(taxonomy)
+
+    def test_estimate_size_builds_no_associations(self, monkeypatch):
+        mapping = Mapping.build("S", "T", [("s1", "t1"), ("s2", "t2")])
+
+        def forbidden(self):
+            raise AssertionError("estimate_size built Association objects")
+
+        monkeypatch.setattr(Mapping, "associations", property(forbidden))
+        monkeypatch.setattr(Mapping, "__iter__", forbidden)
+        assert estimate_size(mapping) == 96 + 160 * 2
 
 
 @pytest.fixture()
@@ -424,6 +448,25 @@ class TestComposeEngines:
         sql = compose(gm.repository, path, min_evidence, engine="sql")
         memory = compose(gm.repository, path, min_evidence, engine="memory")
         assert sql.pair_set() == memory.pair_set()
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ["NetAffx", "Unigene", "LocusLink", "GO"],
+            ["GO", "LocusLink", "Unigene"],
+            ["Unigene", "LocusLink", "OMIM"],
+        ],
+    )
+    def test_sql_rows_equal_memory_rows(self, loaded_genmapper, path):
+        # The SQL engine takes its rows straight from GROUP BY/ORDER BY,
+        # without Mapping.build: same rows, order and evidence as the fold.
+        from repro.operators.compose import compose
+
+        sql = compose(loaded_genmapper.repository, path, engine="sql")
+        memory = compose(loaded_genmapper.repository, path, engine="memory")
+        assert len(sql) > 0
+        assert sql.rows == memory.rows
+        assert all(type(row) is tuple for row in sql.rows)
 
     def test_sql_engine_rejects_adhoc_combiner(self, gm):
         from repro.operators.compose import compose

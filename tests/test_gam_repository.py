@@ -1,6 +1,8 @@
 """Tests for the repository layer: CRUD plus duplicate elimination."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gam.database import GamDatabase
 from repro.gam.enums import RelType, SourceContent, SourceStructure
@@ -11,6 +13,8 @@ from repro.gam.errors import (
     UnknownSourceError,
 )
 from repro.gam.repository import GamRepository
+from repro.operators.mapping import Mapping
+from repro.operators.simple import map_
 
 
 @pytest.fixture()
@@ -220,21 +224,21 @@ class TestFetchMapping:
         locuslink, go = two_sources
         rel = repo.ensure_source_rel(locuslink, go, RelType.FACT)
         repo.add_associations(rel, [("353", "GO:0009116")])
-        __, associations = repo.fetch_mapping_associations(locuslink, go)
-        assert associations[0].source_accession == "353"
+        __, rows = repo.fetch_mapping_rows(locuslink, go)
+        assert rows[0][0] == "353"
 
     def test_orients_reverse_direction(self, repo, two_sources):
         locuslink, go = two_sources
         rel = repo.ensure_source_rel(locuslink, go, RelType.FACT)
         repo.add_associations(rel, [("353", "GO:0009116")])
-        __, associations = repo.fetch_mapping_associations(go, locuslink)
-        assert associations[0].source_accession == "GO:0009116"
-        assert associations[0].target_accession == "353"
+        __, rows = repo.fetch_mapping_rows(go, locuslink)
+        assert rows[0][0] == "GO:0009116"
+        assert rows[0][1] == "353"
 
     def test_missing_mapping_raises(self, repo, two_sources):
         locuslink, go = two_sources
         with pytest.raises(UnknownMappingError):
-            repo.fetch_mapping_associations(locuslink, go)
+            repo.fetch_mapping_rows(locuslink, go)
 
     def test_prefers_imported_over_derived(self, repo, two_sources):
         locuslink, go = two_sources
@@ -242,9 +246,104 @@ class TestFetchMapping:
         repo.add_associations(composed, [("353", "GO:0007155")])
         fact = repo.ensure_source_rel(locuslink, go, RelType.FACT)
         repo.add_associations(fact, [("353", "GO:0009116")])
-        rel, associations = repo.fetch_mapping_associations(locuslink, go)
+        rel, rows = repo.fetch_mapping_rows(locuslink, go)
         assert rel.type is RelType.FACT
-        assert associations[0].target_accession == "GO:0009116"
+        assert rows[0][1] == "GO:0009116"
+
+    def test_rows_are_plain_tuples(self, repo, two_sources):
+        locuslink, go = two_sources
+        rel = repo.ensure_source_rel(locuslink, go, RelType.FACT)
+        repo.add_associations(rel, [("353", "GO:0009116", 0.5)])
+        __, rows = repo.fetch_mapping_rows(go, locuslink)
+        assert rows == [("GO:0009116", "353", 0.5)]
+        assert type(rows[0]) is tuple
+
+
+_accessions = st.text(alphabet="ab12:.", min_size=1, max_size=4)
+
+
+@st.composite
+def _gam_instances(draw):
+    """Two sources and one to three stored mappings between them, each
+    imported or derived and stored in either direction."""
+    s_accessions = draw(st.lists(_accessions, min_size=1, max_size=8, unique=True))
+    t_accessions = draw(st.lists(_accessions, min_size=1, max_size=8, unique=True))
+    kinds = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [RelType.FACT, RelType.SIMILARITY, RelType.COMPOSED]
+                ),
+                st.booleans(),  # stored S -> T?
+            ),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    rels = []
+    for rel_type, forward in kinds:
+        pairs = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(s_accessions),
+                    st.sampled_from(t_accessions),
+                    st.floats(min_value=0.0, max_value=1.0),
+                ),
+                max_size=20,
+            )
+        )
+        rels.append((rel_type, forward, pairs))
+    return s_accessions, t_accessions, rels
+
+
+class TestOrientedLoaderDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(_gam_instances())
+    def test_map_matches_python_reversal(self, instance):
+        s_accessions, t_accessions, rels = instance
+        db = GamDatabase()
+        try:
+            repo = GamRepository(db)
+            s = repo.add_source("S")
+            t = repo.add_source("T")
+            repo.add_objects(s, [(acc,) for acc in s_accessions])
+            repo.add_objects(t, [(acc,) for acc in t_accessions])
+            created = []
+            for rel_type, forward, pairs in rels:
+                if forward:
+                    rel = repo.ensure_source_rel(s, t, rel_type)
+                    repo.add_associations(rel, pairs)
+                else:
+                    rel = repo.ensure_source_rel(t, s, rel_type)
+                    repo.add_associations(rel, [(b, a, e) for a, b, e in pairs])
+                created.append((rel, forward))
+            # Imported mappings win over derived ones, then the oldest.
+            rel, stored_forward = min(
+                created, key=lambda item: (item[0].type.is_derived, item[0].src_rel_id)
+            )
+            stored = repo.associations_of(rel)
+            for source, target, forward in (
+                ("S", "T", stored_forward),
+                ("T", "S", not stored_forward),
+            ):
+                reference = [
+                    (a.source_accession, a.target_accession, a.evidence)
+                    for a in (
+                        stored if forward else [a.reversed() for a in stored]
+                    )
+                ]
+                mapping = map_(repo, source, target)
+                assert mapping.rel_type is rel.type
+                assert (mapping.source, mapping.target) == (source, target)
+                # Same rows in the same order as the Python reversal ...
+                assert mapping.rows == tuple(reference)
+                assert all(type(row) is tuple for row in mapping.rows)
+                # ... and the same mapping Mapping.build makes of them.
+                built = Mapping.build(source, target, reference, rel_type=rel.type)
+                assert tuple(sorted(mapping.rows)) == built.rows
+        finally:
+            db.close()
 
 
 class TestObjectInfo:

@@ -1,5 +1,8 @@
 """Tests for the Mapping value object and its Table 2 operations."""
 
+import dataclasses
+import gc
+
 import pytest
 
 from repro.gam.enums import RelType
@@ -117,3 +120,89 @@ class TestDerivedViews:
             "S", "T", [("s1", "t1")], rel_type=RelType.COMPOSED
         )
         assert mapping.restrict_domain({"s1"}).rel_type is RelType.COMPOSED
+
+
+def _walk(value):
+    """Every object inside a plain-data structure (tuples, lists, sets,
+    dicts), the root included."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        yield item
+        if isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+        elif isinstance(item, (tuple, list, set, frozenset)):
+            stack.extend(item)
+
+
+def _is_leaf_tuple(item) -> bool:
+    return type(item) is tuple and all(type(v) in (str, float) for v in item)
+
+
+def assert_out_of_gc(mapping: Mapping) -> None:
+    """Neither the rows nor any memoized access structure keeps a tracked
+    object per row in the garbage collector.
+
+    One full collection untracks every row and every memoized pair (exact
+    tuples of strings and floats).  A freshly built container of rows is
+    visited before its rows within that collection, so it is untracked
+    by the next one — the first to find all its items untracked.
+    """
+    assert len(mapping) > 0
+    fields = {field.name for field in dataclasses.fields(mapping)}
+    memos = [value for name, value in vars(mapping).items() if name not in fields]
+    gc.collect()
+    assert all(type(row) is tuple for row in mapping.rows)
+    assert not any(gc.is_tracked(row) for row in mapping.rows)
+    leaves = [item for item in _walk(memos) if _is_leaf_tuple(item)]
+    assert not any(gc.is_tracked(item) for item in leaves)
+    gc.collect()
+    assert not gc.is_tracked(mapping.rows)
+    # Only the memo containers themselves (e.g. the pair set) may stay
+    # tracked: a constant per mapping, whatever its size.
+    tracked = sum(gc.is_tracked(item) for memo in memos for item in _walk(memo))
+    assert tracked <= len(memos)
+
+
+class TestGarbageCollectorFootprint:
+    def test_built_mapping_rows_are_untracked(self):
+        pairs = [(f"s{i}", f"t{i}", 0.5) for i in range(50)]
+        assert_out_of_gc(Mapping.build("S", "T", pairs))
+
+    @pytest.mark.parametrize(
+        "source, target", [("LocusLink", "GO"), ("GO", "LocusLink")]
+    )
+    def test_map_in_both_directions(self, paper_genmapper, source, target):
+        assert_out_of_gc(paper_genmapper.map(source, target))
+
+    def test_compose(self, paper_genmapper):
+        composed = paper_genmapper.compose(["Unigene", "LocusLink", "GO"])
+        assert_out_of_gc(composed)
+
+    def test_compose_in_memory(self, paper_genmapper):
+        composed = paper_genmapper.compose(
+            ["Unigene", "LocusLink", "GO"], engine="memory"
+        )
+        assert_out_of_gc(composed)
+
+    def test_restrict_domain(self, paper_genmapper):
+        mapping = paper_genmapper.map("LocusLink", "GO")
+        assert_out_of_gc(mapping.restrict_domain(mapping.domain()))
+
+    def test_memoized_access_structures_stay_untracked(self, paper_genmapper):
+        mapping = paper_genmapper.map("GO", "LocusLink")
+        mapping.pair_set()
+        for accession in mapping.domain():
+            mapping.targets_of(accession)
+        assert ("GO:0009116", "353") in mapping
+        assert_out_of_gc(mapping)
+
+    def test_iteration_still_yields_associations(self, paper_genmapper):
+        mapping = paper_genmapper.map("LocusLink", "GO")
+        associations = mapping.associations
+        assert all(isinstance(a, Association) for a in associations)
+        assert [
+            (a.source_accession, a.target_accession, a.evidence) for a in associations
+        ] == list(mapping.rows)
+        assert tuple(mapping) == associations
