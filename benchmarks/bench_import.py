@@ -365,19 +365,3 @@ def test_bench_import_legacy(benchmark):
     benchmark.extra_info["new_objects"] = result[0].new_objects
     benchmark.extra_info["new_associations"] = result[0].total_associations
 
-
-def test_bench_import_parallel_directory(benchmark, bench_universe_dir):
-    """Multi-source manifest ingest over the connection pool (workers=4)."""
-    from repro.core.genmapper import GenMapper
-
-    def _integrate() -> int:
-        gm = GenMapper()
-        try:
-            reports = gm.integrate_directory(bench_universe_dir, workers=4)
-            return sum(report.new_objects for report in reports)
-        finally:
-            gm.close()
-
-    objects = benchmark.pedantic(_integrate, rounds=3, iterations=1)
-    benchmark.extra_info["experiment"] = "Ingest: parallel manifest import (workers=4)"
-    benchmark.extra_info["new_objects"] = objects

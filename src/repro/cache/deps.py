@@ -24,11 +24,10 @@ max per-source generation of exactly those sources
 (:meth:`repro.gam.database.GamDatabase.generation_of`) — the other half
 of the scoped-invalidation protocol (``docs/performance.md``).
 
-The protocol is storage-engine agnostic: on the sharded engine
-(:mod:`repro.gam.shards`) a scoped write — including an atomic image
-flip re-importing one source — bumps exactly the generations of the
-sources it names, so warm entries for mappings on untouched shards keep
-validating against unchanged generations and survive the flip.
+A scoped write — a re-import of one source, say — bumps exactly the
+generations of the sources it names, so warm entries for mappings
+between untouched sources keep validating against unchanged generations
+and survive it.
 """
 
 from __future__ import annotations

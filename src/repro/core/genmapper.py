@@ -111,9 +111,7 @@ class GenMapper:
         enable_cache: bool | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
-        # open() auto-detects the storage layout (monolithic vs sharded)
-        # of an existing database and honours REPRO_SHARDS for new ones.
-        self.db = GamDatabase.open(path, pool_size=pool_size)
+        self.db = GamDatabase(path, pool_size=pool_size)
         self.repository = GamRepository(self.db)
         self.pipeline = IntegrationPipeline(self.repository)
         self.paths = PathRegistry(self.db)
@@ -186,19 +184,15 @@ class GenMapper:
     def integrate_directory(
         self,
         directory: str | Path,
-        workers: int | None = None,
         resume: bool | None = None,
     ) -> list[ImportReport]:
         """Import every source listed in a directory's manifest.
 
-        ``workers`` > 1 integrates sources concurrently over the
-        connection pool; ``resume=True`` skips sources already
-        checkpointed from an earlier (possibly killed) run (see
+        ``resume=True`` skips sources already checkpointed from an earlier
+        (possibly killed) run (see
         :meth:`repro.importer.pipeline.IntegrationPipeline.integrate_directory`).
         """
-        reports = self.pipeline.integrate_directory(
-            directory, workers=workers, resume=resume
-        )
+        reports = self.pipeline.integrate_directory(directory, resume=resume)
         self._invalidate_graph()
         return reports
 

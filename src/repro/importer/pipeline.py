@@ -15,7 +15,6 @@ the GAM import itself is order-independent thanks to duplicate elimination.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import os
 from pathlib import Path
@@ -130,32 +129,20 @@ class IntegrationPipeline:
         self,
         directory: str | Path,
         manifest_name: str = "manifest.tsv",
-        workers: int | None = None,
         resume: bool | None = None,
     ) -> list[ImportReport]:
         """Import every source listed in a directory's manifest.
 
-        ``workers`` > 1 integrates the manifest entries on a thread pool
-        over the connection pool: parsing overlaps across sources while
-        each source's import stays one per-source transaction behind the
-        single-writer lock.  The stored result and each source's
-        association counts are identical to a serial run; only the
-        *attribution* of shared target objects may shift between reports
-        (whichever import completes first inserts them), exactly as a
-        different manifest order would.  The returned list is always in
-        manifest order.  ``workers=None`` reads ``REPRO_IMPORT_WORKERS``
-        from the environment, defaulting to serial.
-
-        Every completed source is checkpointed in the database
-        (:class:`~repro.reliability.checkpoint.ImportJournal`); with
+        Sources are imported one after another, in manifest order, each
+        in its own transaction.  Every completed source is checkpointed in
+        the database (:class:`~repro.reliability.checkpoint.ImportJournal`);
+        with
         ``resume=True`` (or a truthy ``REPRO_IMPORT_RESUME``) sources
         whose checkpoint matches the input file's content are skipped,
         so an import killed mid-run continues where it stopped instead
         of redoing finished work.  Skipped entries report zero counts,
         in manifest order like everything else.
         """
-        if workers is None:
-            workers = int(os.environ.get("REPRO_IMPORT_WORKERS", "1") or "1")
         if resume is None:
             resume = os.environ.get(RESUME_ENV_VAR, "").strip().lower() in (
                 "1", "true", "yes", "on",
@@ -168,20 +155,14 @@ class IntegrationPipeline:
             "pipeline.integrate_directory",
             directory=directory.name,
             sources=len(entries),
-            workers=max(workers, 1),
         ):
             jobs, reports = self._plan_entries(
                 directory, entries, journal, resume
             )
-            if workers > 1 and len(jobs) > 1:
-                self._integrate_entries_threaded(
-                    jobs, reports, journal, workers
+            for index, entry, file_path, fingerprint in jobs:
+                reports[index] = self._integrate_checkpointed(
+                    entry, file_path, fingerprint, journal
                 )
-            else:
-                for index, entry, file_path, fingerprint in jobs:
-                    reports[index] = self._integrate_checkpointed(
-                        entry, file_path, fingerprint, journal
-                    )
             # Refresh optimizer statistics once after the bulk load so SQL-
             # compiled views get index-driven join orders.
             with get_tracer().span("pipeline.analyze"):
@@ -197,10 +178,9 @@ class IntegrationPipeline:
     ) -> tuple[list, list]:
         """Split manifest entries into work and already-done skips.
 
-        Files are validated up front (a serial run discovers a missing
-        file only when it reaches it; a resumed or parallel run must not
-        start sibling imports it would then abandon).  Returns
-        ``(jobs, reports)``: jobs as ``(index, entry, path, fingerprint)``
+        Files are validated up front, so a missing file fails the run
+        before any source is imported rather than after its predecessors.
+        Returns ``(jobs, reports)``: jobs as ``(index, entry, path, fingerprint)``
         tuples, and the manifest-ordered report list pre-filled with
         zero-count reports for skipped sources.
         """
@@ -245,24 +225,11 @@ class IntegrationPipeline:
         which the GAM duplicate elimination makes a no-op.  The row-id
         watermarks snapshotted *before* the import delimit its delta for
         incremental view maintenance (:mod:`repro.derived.refresh`).
-
-        On the sharded engine, *re*-importing a known source runs inside
-        an :meth:`~repro.gam.shards.ShardedGamDatabase.image_flip`: the
-        import writes a staged copy of the source's shard while readers
-        keep the live image, and the catalog flips atomically on commit
-        (zero-downtime re-import, ``docs/storage.md``).
         """
         watermarks = journal.table_watermarks()
-        db = self.repository.db
-        if db.sharded and self.repository.find_source(entry.source) is not None:
-            with db.image_flip(entry.source):
-                report = self.integrate_file(
-                    file_path, source_name=entry.source, release=entry.release
-                )
-        else:
-            report = self.integrate_file(
-                file_path, source_name=entry.source, release=entry.release
-            )
+        report = self.integrate_file(
+            file_path, source_name=entry.source, release=entry.release
+        )
         journal.record(
             entry.source,
             entry.file,
@@ -271,38 +238,6 @@ class IntegrationPipeline:
             watermarks=watermarks,
         )
         return report
-
-    def _integrate_entries_threaded(
-        self,
-        jobs: list,
-        reports: "list[ImportReport | None]",
-        journal: ImportJournal,
-        workers: int,
-    ) -> None:
-        """Fan import jobs out over a thread pool, filling ``reports``
-        in manifest order.  The first failing job's exception is
-        re-raised, matching the serial contract.
-        """
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(workers, len(jobs)),
-            thread_name_prefix="repro-import",
-        ) as executor:
-            futures = [
-                (
-                    index,
-                    executor.submit(
-                        self._integrate_checkpointed,
-                        entry,
-                        file_path,
-                        fingerprint,
-                        journal,
-                    ),
-                )
-                for index, entry, file_path, fingerprint in jobs
-            ]
-            for index, future in futures:
-                reports[index] = future.result()
-
 
     def stage_directory(
         self,

@@ -63,14 +63,19 @@ def genmapper():
         yield gm
 
 
+def load_paper_example(gm: GenMapper) -> GenMapper:
+    """Integrate the paper's running example data into ``gm``."""
+    gm.integrate_text(LOCUS_353_RECORD, "LocusLink")
+    gm.integrate_text(GO_MINI_OBO, "GO")
+    gm.integrate_text(UNIGENE_MINI, "Unigene")
+    return gm
+
+
 @pytest.fixture()
 def paper_genmapper():
     """A GenMapper loaded with the paper's running example data."""
     with GenMapper() as gm:
-        gm.integrate_text(LOCUS_353_RECORD, "LocusLink")
-        gm.integrate_text(GO_MINI_OBO, "GO")
-        gm.integrate_text(UNIGENE_MINI, "Unigene")
-        yield gm
+        yield load_paper_example(gm)
 
 
 @pytest.fixture(scope="session")

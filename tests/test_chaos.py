@@ -26,6 +26,7 @@ import pytest
 from repro.core.genmapper import GenMapper
 from repro.gam.dump import canonical_snapshot
 from repro.gam.errors import GenMapperError
+from repro.importer.pipeline import read_manifest
 from repro.obs import MetricsRegistry
 from repro.reliability import FaultInjector, FaultRule, ImportJournal, RetryPolicy
 
@@ -96,13 +97,22 @@ class TestChaosEquivalence:
                 registry=registry,
             )
             storage_errors: list[BaseException] = []
+            import_errors: list[BaseException] = []
             import_done = threading.Event()
+            entries = read_manifest(universe_dir / "manifest.tsv")
 
-            def importer():
+            def importer(half):
+                # Two writers on disjoint halves of the manifest contend
+                # for the writer lock and share target sources (GO, ...).
                 try:
-                    gm.integrate_directory(universe_dir, workers=3)
-                finally:
-                    import_done.set()
+                    for entry in half:
+                        gm.integrate_file(
+                            universe_dir / entry.file,
+                            source_name=entry.source,
+                            release=entry.release,
+                        )
+                except BaseException as exc:  # pragma: no cover
+                    import_errors.append(exc)
 
             def querier():
                 while not import_done.is_set():
@@ -117,13 +127,20 @@ class TestChaosEquivalence:
                         storage_errors.append(exc)
                         return
 
-            threads = [threading.Thread(target=importer)]
-            threads += [threading.Thread(target=querier) for _ in range(3)]
-            for thread in threads:
+            importers = [
+                threading.Thread(target=importer, args=(entries[::2],)),
+                threading.Thread(target=importer, args=(entries[1::2],)),
+            ]
+            queriers = [threading.Thread(target=querier) for _ in range(3)]
+            for thread in importers + queriers:
                 thread.start()
-            for thread in threads:
+            for thread in importers:
                 thread.join(timeout=120)
-            assert import_done.is_set()
+            import_done.set()
+            for thread in queriers:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in importers)
+            assert not import_errors, f"imports failed: {import_errors}"
             assert not storage_errors, f"storage errors leaked: {storage_errors}"
             injected = gm.db.fault_injector.fired
             gm.db.fault_injector = None

@@ -1,5 +1,7 @@
 """Tests for GamDatabase connection management."""
 
+import sqlite3
+
 import pytest
 
 from repro.gam.database import GamDatabase
@@ -32,6 +34,37 @@ class TestGamDatabase:
         path.touch()
         with pytest.raises(GamSchemaError):
             GamDatabase(path, create=False)
+
+    @pytest.mark.parametrize("create", [True, False])
+    def test_legacy_sharded_file_is_rejected_untouched(self, tmp_path, create):
+        """A coordinator file of the removed sharded engine holds only
+        ``source`` and ``meta``; opening it must fail loudly instead of
+        adding empty GAM tables that make its data look gone."""
+        path = tmp_path / "legacy.db"
+        with GamDatabase(path):
+            pass
+        raw = sqlite3.connect(path)
+        raw.executescript(
+            "DROP TABLE object_rel; DROP TABLE source_rel; DROP TABLE object;"
+            " INSERT INTO meta (key, value) VALUES ('layout', 'sharded');"
+        )
+        raw.close()
+        before = path.read_bytes()
+
+        with pytest.raises(GamSchemaError, match="sharded") as excinfo:
+            GamDatabase(path, create=create)
+        assert str(path) in str(excinfo.value)
+
+        assert path.read_bytes() == before
+        raw = sqlite3.connect(path)
+        tables = {
+            row[0]
+            for row in raw.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        raw.close()
+        assert tables == {"meta", "source"}
 
     def test_transaction_commits_on_success(self):
         with GamDatabase() as db:

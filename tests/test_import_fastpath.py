@@ -1,16 +1,16 @@
 """The bulk-ingest fast path: indexed datasets, counted writes, pushdown
-derivation and parallel manifest import (see ``docs/performance.md``).
+derivation and manifest import (see ``docs/performance.md``).
 
 Locks the contracts the acceleration layer must keep: dataset indexes
 agree with naive scans and invalidate on mutation, insert counts come
 from the write cursor (concurrency-safe), the bulk accession cache stays
 coherent across targets, both derivation engines store identical
-associations, and a parallel manifest import produces the same reports
-as a serial one.
+associations, and a manifest import validates its files before importing.
 """
 
 from __future__ import annotations
 
+import shutil
 import threading
 
 import pytest
@@ -36,6 +36,7 @@ from repro.gam.errors import (
 )
 from repro.gam.repository import GamRepository
 from repro.importer.importer import GamImporter
+from repro.importer.pipeline import read_manifest
 
 
 def _sample_dataset() -> EavDataset:
@@ -439,65 +440,20 @@ def universe_dir(tmp_path_factory):
 
 
 class TestParallelDirectoryImport:
-    def test_parallel_matches_serial(self, universe_dir):
-        """The stored database must be identical to a serial run.
-
-        Per-report *attribution* of shared target objects legitimately
-        depends on completion order (whichever import reaches the GO
-        source first inserts its objects), so the invariants are the
-        stored state and the per-mapping association counts, which each
-        belong to exactly one source's import.
-        """
-        def snapshot(gm):
-            repo = gm.repository
-            state = {"tables": gm.db.counts()}
-            for source in repo.list_sources():
-                state[f"objects:{source.name}"] = repo.accessions_of(source)
-            for rel in repo.find_source_rels():
-                names = (
-                    repo.get_source(rel.source1_id).name,
-                    repo.get_source(rel.source2_id).name,
-                    rel.type.value,
-                )
-                state[f"rel:{names}"] = repo.count_associations(rel)
-            return state
-
-        with GenMapper() as serial_gm:
-            serial_reports = serial_gm.integrate_directory(universe_dir)
-            serial_state = snapshot(serial_gm)
-        with GenMapper() as parallel_gm:
-            parallel_reports = parallel_gm.integrate_directory(
-                universe_dir, workers=4
-            )
-            parallel_state = snapshot(parallel_gm)
-        assert parallel_state == serial_state
-        # Reports come back in manifest order regardless of completion
-        # order, and each source's association counts are deterministic.
-        assert [r.source.name for r in parallel_reports] == [
-            r.source.name for r in serial_reports
-        ]
-        for parallel_report, serial_report in zip(
-            parallel_reports, serial_reports
-        ):
-            assert (
-                parallel_report.new_associations
-                == serial_report.new_associations
-            )
-            assert parallel_report.skipped_rows == serial_report.skipped_rows
-
-    def test_workers_env_default(self, universe_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_IMPORT_WORKERS", "4")
-        with GenMapper() as gm:
-            reports = gm.integrate_directory(universe_dir)
-        assert len(reports) > 1
-        assert all(report.new_objects >= 0 for report in reports)
-
-    def test_parallel_missing_file_fails_before_importing(self, tmp_path):
+    def test_parallel_missing_file_fails_before_importing(
+        self, universe_dir, tmp_path
+    ):
+        """Manifest files are validated up front: a missing file late in
+        the manifest fails the run before any earlier source is imported."""
+        first = read_manifest(universe_dir / "manifest.tsv")[0]
+        shutil.copy(universe_dir / first.file, tmp_path / first.file)
         (tmp_path / "manifest.tsv").write_text(
-            "# file\tsource\trelease\nmissing.txt\tLocusLink\t\n",
+            "# file\tsource\trelease\n"
+            f"{first.file}\t{first.source}\t\n"
+            "missing.txt\tLocusLink\t\n",
             encoding="utf-8",
         )
         with GenMapper() as gm:
             with pytest.raises(ImportError_, match="missing file"):
-                gm.integrate_directory(tmp_path, workers=4)
+                gm.integrate_directory(tmp_path)
             assert gm.sources() == []

@@ -42,6 +42,7 @@ from repro.reliability import (
 )
 from repro.reliability.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.web.app import create_app
+from tests.conftest import load_paper_example
 
 
 @pytest.fixture(autouse=True)
@@ -637,6 +638,20 @@ class TestDegradedSignalling:
 # degraded-mode serving through the facade
 
 
+@pytest.fixture()
+def cached_genmapper():
+    """The paper example with the mapping cache on whatever
+    ``REPRO_CACHE`` says: stale-cache serving needs a cache to serve from."""
+    with GenMapper(enable_cache=True) as gm:
+        yield load_paper_example(gm)
+
+
+@pytest.fixture()
+def uncached_genmapper():
+    with GenMapper(enable_cache=False) as gm:
+        yield load_paper_example(gm)
+
+
 def break_storage(gm: GenMapper) -> None:
     """Make every subsequent guarded statement fail fast."""
     gm.db.fault_injector = FaultInjector(
@@ -646,8 +661,8 @@ def break_storage(gm: GenMapper) -> None:
 
 
 class TestDegradedServing:
-    def test_stale_mapping_served_when_storage_fails(self, paper_genmapper):
-        gm = paper_genmapper
+    def test_stale_mapping_served_when_storage_fails(self, cached_genmapper):
+        gm = cached_genmapper
         fresh = gm.map("LocusLink", "GO")
         # A write moves the generation: the cached entry is now stale.
         gm.db.execute(
@@ -660,8 +675,8 @@ class TestDegradedServing:
         assert state["degraded"] is True
         assert list(stale) == list(fresh)
 
-    def test_breaker_opens_and_short_circuits_to_stale(self, paper_genmapper):
-        gm = paper_genmapper
+    def test_breaker_opens_and_short_circuits_to_stale(self, cached_genmapper):
+        gm = cached_genmapper
         gm.breaker = CircuitBreaker(
             failure_threshold=1, recovery_time=60.0, registry=MetricsRegistry()
         )
@@ -875,8 +890,8 @@ class TestWebResilience:
         assert "circuit" in payload["error"]
         assert int(headers["Retry-After"]) >= 1
 
-    def test_degraded_response_flagged(self, paper_genmapper):
-        gm = paper_genmapper
+    def test_degraded_response_flagged(self, cached_genmapper):
+        gm = cached_genmapper
         app = create_app(gm)
         status, fresh, __ = call_with_headers(
             app, "GET", "/map", query="source=LocusLink&target=GO"
@@ -894,3 +909,20 @@ class TestWebResilience:
         assert payload["degraded"] is True
         assert payload["degraded_reasons"]
         assert payload["associations"] == fresh["associations"]
+
+    def test_storage_failure_without_cache_is_503(self, uncached_genmapper):
+        """Without a cache there is nothing stale to serve: a storage
+        failure is rejected clearly, never answered with partial data."""
+        gm = uncached_genmapper
+        app = create_app(gm)
+        status, __, __ = call_with_headers(
+            app, "GET", "/map", query="source=LocusLink&target=GO"
+        )
+        assert status == 200
+        break_storage(gm)
+        status, payload, headers = call_with_headers(
+            app, "GET", "/map", query="source=LocusLink&target=GO"
+        )
+        assert status == 503
+        assert "associations" not in payload
+        assert int(headers["Retry-After"]) >= 1
